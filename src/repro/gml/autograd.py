@@ -398,14 +398,27 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
 
 
 def gather_rows(source: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of ``source`` (gradient scatters back with ``np.add.at``)."""
+    """Select rows of ``source``.
+
+    The gradient scatters back as one sparse product: a ``rows x n`` CSR
+    matrix with a 1 at ``(indices[i], i)`` times the ``n`` gradient rows.
+    Each matrix row lists its columns in increasing ``i``, so a repeated
+    index accumulates in the same order, and to the same bits, as
+    ``np.add.at``.
+    """
     indices = np.asarray(indices, dtype=np.int64)
     out_data = source.data[indices]
 
     def backward(grad: np.ndarray):
-        full = np.zeros_like(source.data)
-        np.add.at(full, indices, grad)
-        return (full,)
+        rows, *row_shape = source.data.shape
+        flat = indices.reshape(-1)
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=rows), out=indptr[1:])
+        scatter = sp.csr_matrix(
+            (np.ones(flat.size), np.argsort(flat, kind="stable"), indptr),
+            shape=(rows, flat.size))
+        full = scatter @ grad.reshape(flat.size, int(np.prod(row_shape)))
+        return (full.reshape(source.data.shape),)
 
     return Tensor._result(out_data, (source,), backward)
 

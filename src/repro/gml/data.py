@@ -114,13 +114,40 @@ class GraphData:
             adj = inv @ adj
         return adj.tocsr()
 
-    def relation_adjacencies(self, add_self_loops: bool = False,
-                             normalize: bool = True,
-                             symmetric: bool = True) -> List[sp.csr_matrix]:
-        """One adjacency matrix per relation (RGCN message passing)."""
-        return [self.adjacency(relation=r, add_self_loops=add_self_loops,
-                               normalize=normalize, symmetric=symmetric)
-                for r in range(self.num_relations)]
+    def relation_adjacencies(self) -> List[sp.csr_matrix]:
+        """One adjacency matrix per relation (RGCN message passing).
+
+        Matrix ``r`` equals ``adjacency(relation=r, add_self_loops=False)``
+        array for array, but all of them come from one sort of the edges by
+        (relation, row, descending column).  Descending is the column order
+        that ``adjacency`` gets from scipy's ``diags @ csr`` product, and
+        ``csr @ dense`` sums each row in column order, so messages are
+        summed in the same order and to the same bits.
+        """
+        n = self.num_nodes
+        relation = np.concatenate([self.edge_type, self.edge_type])
+        row = np.concatenate([self.edge_index[1], self.edge_index[0]])
+        col = np.concatenate([self.edge_index[0], self.edge_index[1]])
+        order = np.lexsort((-col, row, relation))
+        relation, row, col = relation[order], row[order], col[order]
+        # Collapse repeated (relation, row, column) entries into edge counts.
+        first = np.ones(relation.shape[0], dtype=bool)
+        first[1:] = ((relation[1:] != relation[:-1]) | (row[1:] != row[:-1])
+                     | (col[1:] != col[:-1]))
+        starts = np.flatnonzero(first)
+        count = np.diff(np.append(starts, relation.shape[0])).astype(np.float64)
+        relation, row, col = relation[starts], row[starts], col[starts]
+        bounds = np.searchsorted(relation, np.arange(self.num_relations + 1))
+        adjacencies = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rows, counts = row[lo:hi], count[lo:hi]
+            degree = np.bincount(rows, weights=counts, minlength=n)
+            degree[degree == 0] = 1.0
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+            adjacencies.append(sp.csr_matrix(
+                ((1.0 / degree)[rows] * counts, col[lo:hi], indptr), shape=(n, n)))
+        return adjacencies
 
     # Cached variants: adjacency construction is the dominant per-forward cost
     # for full-batch training, so models memoise it on the data object itself
@@ -166,7 +193,8 @@ class GraphData:
             train_mask=self.train_mask[node_indices],
             val_mask=self.val_mask[node_indices],
             test_mask=self.test_mask[node_indices],
-            node_names=[self.node_names[i] for i in node_indices] if self.node_names else [],
+            node_names=([self.node_names[i] for i in node_indices.tolist()]
+                        if self.node_names else []),
             node_types=self.node_types[node_indices] if self.node_types is not None else None,
             node_type_names=self.node_type_names,
             relation_names=self.relation_names,

@@ -95,10 +95,9 @@ class EdgeSubKGSampler:
         chosen = self.rng.choice(self._train.shape[0], size=count, replace=False)
         triples = self._train[chosen]
         entities = np.unique(np.concatenate([triples[:, 0], triples[:, 2]]))
-        remap = {int(e): i for i, e in enumerate(entities)}
         local = triples.copy()
-        local[:, 0] = [remap[int(h)] for h in triples[:, 0]]
-        local[:, 2] = [remap[int(t)] for t in triples[:, 2]]
+        local[:, 0] = np.searchsorted(entities, triples[:, 0])
+        local[:, 2] = np.searchsorted(entities, triples[:, 2])
         return local, entities, entities.shape[0]
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:

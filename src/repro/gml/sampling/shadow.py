@@ -9,7 +9,7 @@ union of their shadow subgraphs.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class ShadowKHopSampler(SubgraphSampler):
         self._cursor = 0
         self._order = self.rng.permutation(self.target_nodes)
 
-    def _neighbors(self, node: int) -> np.ndarray:
-        return self._sorted_dst[self._offsets[node]:self._offsets[node + 1]]
-
     def _next_roots(self) -> np.ndarray:
         """Cycle through target nodes so every root is visited across batches."""
         if self._cursor >= self._order.shape[0]:
@@ -62,36 +59,47 @@ class ShadowKHopSampler(SubgraphSampler):
         return roots
 
     def _expand(self, roots: np.ndarray) -> np.ndarray:
-        frontier = list(roots)
-        visited = set(int(r) for r in roots)
+        """Breadth-first expansion of ``roots`` to at most ``depth`` hops.
+
+        A frontier node with more than ``neighbors_per_hop`` neighbours draws
+        them with one ``rng.choice`` call, in frontier order; the others keep
+        all their neighbours.  Each hop's new nodes keep the order of their
+        first pick, so the samples depend only on the seed.
+        """
+        k = self.neighbors_per_hop
+        visited = np.zeros(self.data.num_nodes, dtype=bool)
+        visited[roots] = True
+        frontier = roots
         for _ in range(self.depth):
-            next_frontier: List[int] = []
-            for node in frontier:
-                neighbors = self._neighbors(int(node))
-                if neighbors.size > self.neighbors_per_hop:
-                    neighbors = self.rng.choice(neighbors, size=self.neighbors_per_hop,
-                                                replace=False)
-                for neighbor in neighbors:
-                    neighbor = int(neighbor)
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-            if not frontier:
+            starts = self._offsets[frontier]
+            stops = self._offsets[frontier + 1]
+            take = np.minimum(stops - starts, k)
+            ends = np.cumsum(take)
+            # Every node's first ``take`` neighbours, back to back...
+            slots = np.arange(ends[-1] if ends.size else 0)
+            picks = self._sorted_dst[np.repeat(starts - ends + take, take) + slots]
+            # ...then the sampled ones over the first k of each high-degree node.
+            big = stops - starts > k
+            for start, stop, end in zip(starts[big].tolist(), stops[big].tolist(),
+                                        ends[big].tolist()):
+                picks[end - k:end] = self.rng.choice(self._sorted_dst[start:stop], size=k,
+                                                     replace=False)
+            picks = picks[~visited[picks]]
+            _, first = np.unique(picks, return_index=True)
+            frontier = picks[np.sort(first)]
+            if frontier.size == 0:
                 break
-        return np.asarray(sorted(visited), dtype=np.int64)
+            visited[frontier] = True
+        return np.flatnonzero(visited)
 
     def sample_nodes(self) -> np.ndarray:
         return self._expand(self._next_roots())
 
     def sample(self) -> SampledSubgraph:
         roots = self._next_roots()
-        nodes = self._expand(roots)
-        sub, mapping = self.data.subgraph(nodes)
-        position = {int(full): local for local, full in enumerate(mapping)}
-        root_local = np.asarray([position[int(r)] for r in roots if int(r) in position],
-                                dtype=np.int64)
-        return SampledSubgraph(sub, mapping, root_nodes=root_local)
+        sub, mapping = self.data.subgraph(self._expand(roots))
+        # ``mapping`` is sorted and holds every root.
+        return SampledSubgraph(sub, mapping, root_nodes=np.searchsorted(mapping, roots))
 
     def estimated_subgraph_nodes(self) -> int:
         # Each root expands to at most sum_{i<=depth} neighbors_per_hop^i nodes.

@@ -207,9 +207,7 @@ class SamplingNodeClassificationTrainer(_BaseTrainer):
                     # for ShaDow batches restrict further to the root nodes.
                     candidates = np.flatnonzero(sub.train_mask & (sub.labels >= 0))
                     if batch.root_nodes is not None:
-                        roots = set(batch.root_nodes.tolist())
-                        candidates = np.asarray(
-                            [c for c in candidates if int(c) in roots], dtype=np.int64)
+                        candidates = candidates[np.isin(candidates, batch.root_nodes)]
                     if candidates.size == 0:
                         continue
                     self.optimizer.zero_grad()

@@ -154,7 +154,8 @@ class MetaSampler:
 
         # Keep rdf:type triples of every visited node so the transformer can
         # still see node types, and keep the task's label/target edges.
-        for node in visited:
+        # Sorted for the same reason as the frontier above.
+        for node in sorted(visited, key=lambda term: term.sort_key()):
             for s, p, o in graph.triples(node, RDF_TYPE, None):
                 subgraph.add(s, p, o)
         self._keep_task_edges(graph, task, targets, subgraph)

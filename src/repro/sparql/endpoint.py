@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import QueryError
 from repro.rdf.dataset import Dataset
@@ -83,6 +83,9 @@ from repro.sparql.serializer import (
 )
 
 __all__ = ["QueryStatistics", "PlanCache", "SPARQLEndpoint", "explain_group"]
+
+#: How many query records ``SPARQLEndpoint.history`` keeps (about 165 B each).
+HISTORY_SIZE = 4096
 
 
 def _explain_triple(pattern) -> str:
@@ -452,7 +455,9 @@ class SPARQLEndpoint:
         self.namespaces = self.dataset.namespaces
         self.udfs = UDFRegistry()
         self.optimize_joins = optimize_joins
-        self.history: List[QueryStatistics] = []
+        #: The newest ``HISTORY_SIZE`` query records; older ones drop off,
+        #: so a long-lived server keeps flat memory.
+        self.history: Deque[QueryStatistics] = deque(maxlen=HISTORY_SIZE)
         self.plan_cache = PlanCache()
         self.result_cache = ResultCache()
         #: Total triple-pattern index lookups across all executed queries.

@@ -1,5 +1,10 @@
 """Unit tests for the meta-sampler (task-specific subgraph extraction)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.exceptions import MetaSamplingError
@@ -109,6 +114,44 @@ class TestMetaSamplerExtraction:
         payload = report.as_dict()
         assert payload["config"] == "d1h1"
         assert payload["num_subgraph_triples"] < payload["num_kg_triples"]
+
+
+#: Extract the DBLP author-affiliation subgraph and transform it for link
+#: prediction, then print the resulting TriplesData as JSON.
+_EXTRACT_AND_TRANSFORM = """
+import json
+from repro.datasets import DBLPConfig, dblp_author_affiliation_task, generate_dblp_kg
+from repro.gml.transform import RDFGraphTransformer
+from repro.kgnet import MetaSampler, MetaSamplingConfig
+
+task = dblp_author_affiliation_task()
+graph = generate_dblp_kg(DBLPConfig(scale=0.25, seed=3))
+config = MetaSamplingConfig.default_for_task(task.task_type)
+subgraph, _ = MetaSampler(config).extract(graph, task)
+data, _ = RDFGraphTransformer(feature_dim=16, seed=0).to_link_prediction_data(
+    subgraph, task.target_predicate)
+print(json.dumps({
+    "triples": data.triples.tolist(), "train": data.train_idx.tolist(),
+    "valid": data.valid_idx.tolist(), "test": data.test_idx.tolist(),
+    "entities": data.entity_names, "relations": data.relation_names,
+    "target_relation": data.target_relation}))
+"""
+
+
+class TestMetaSamplerDeterminism:
+    def test_link_prediction_data_independent_of_hash_seed(self):
+        """String hashing differs per process; the extracted data must not."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                       PYTHONHASHSEED=hash_seed)
+            result = subprocess.run([sys.executable, "-c", _EXTRACT_AND_TRANSFORM],
+                                    env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append(json.loads(result.stdout))
+        assert outputs[0]["triples"], "the extraction produced no triples"
+        assert outputs[0] == outputs[1]
 
 
 class TestMetaSamplerSPARQL:

@@ -10,6 +10,7 @@ import pytest
 from repro.kgnet import KGNet
 from repro.rdf import Graph, IRI, Literal
 from repro.sparql import PlanCache, SPARQLEndpoint
+from repro.sparql.endpoint import HISTORY_SIZE
 from repro.sparql.reference import ReferenceQueryEvaluator
 
 EX = "https://example.org/"
@@ -99,6 +100,19 @@ class TestPlanCache:
         assert endpoint.total_pattern_lookups > first
         info = endpoint.cache_info()
         assert info["pattern_lookups"] == endpoint.total_pattern_lookups
+
+
+class TestHistoryBound:
+    def test_history_keeps_only_the_newest_records(self):
+        endpoint = build_endpoint()
+        for _ in range(HISTORY_SIZE + 9):
+            endpoint.select(QUERY)
+        newest = QUERY + " LIMIT 1"
+        endpoint.select(newest)
+        assert len(endpoint.history) == HISTORY_SIZE
+        assert endpoint.last_statistics() is endpoint.history[-1]
+        assert endpoint.last_statistics().query == newest
+        assert endpoint.history[-2].query == QUERY
 
 
 class TestShortCircuit:
