@@ -765,7 +765,7 @@ class APIRouter:
         elif kind in ("train", "delete"):
             kwargs.pop("objective", None)
             kwargs.pop("force_plan", None)
-        report = self.sparqlml.execute(query, **kwargs)
+        report = self.sparqlml.execute(query, kind=kind, **kwargs)
         return (lambda: self._project_report(report, page_size)), report
 
     def _handle_sparqlml_select(self, params: Dict[str, object]) -> Tuple[object, object]:
@@ -828,10 +828,10 @@ class APIRouter:
         inputs = [_as_iri_text(item, "inputs[]") for item in inputs]
         k = int(params.get("k", 10))
         mode = params.get("mode")
-        calls_before = self.gmlaas.http_calls
+        calls_before = self.gmlaas.thread_http_calls()
         predictions = self.gmlaas.infer_batch(model_uri, inputs, k=k,
                                               mode=mode if mode is None else str(mode))
-        http_calls = self.gmlaas.http_calls - calls_before
+        http_calls = self.gmlaas.thread_http_calls() - calls_before
         page, cursor = self._paginate(predictions, params.get("page_size"))
         result = {"model_uri": model_uri, "total": len(predictions),
                   "predictions": page, "next_cursor": cursor,

@@ -41,6 +41,7 @@ class GMLInferenceManager:
         self.http_calls = 0
         self.calls_by_model: Dict[str, int] = {}
         self._counters_lock = threading.Lock()
+        self._thread_calls = threading.local()
         #: Simulated per-call latency of the HTTP hop between the RDF engine
         #: and GMLaaS (seconds).  Zero by default; the concurrent-load
         #: benchmark sets it to model the paper's deployment, where every
@@ -53,8 +54,19 @@ class GMLInferenceManager:
         with self._counters_lock:
             self.http_calls += 1
             self.calls_by_model[model_uri] = self.calls_by_model.get(model_uri, 0) + 1
+        local = self._thread_calls
+        local.count = getattr(local, "count", 0) + 1
         if self.call_latency_seconds > 0.0:
             time.sleep(self.call_latency_seconds)
+
+    def thread_http_calls(self) -> int:
+        """Calls made so far by the *current* thread.
+
+        A request's own call count is this value's difference across the
+        request; ``http_calls`` would also count what requests on other
+        threads made meanwhile.  Never reset, so differences stay exact.
+        """
+        return getattr(self._thread_calls, "count", 0)
 
     def reset_counters(self) -> None:
         with self._counters_lock:

@@ -183,3 +183,7 @@ class GMLaaS:
     def http_calls(self) -> int:
         """Total inference HTTP calls served (paper Figs 11-12 cost driver)."""
         return self.inference_manager.http_calls
+
+    def thread_http_calls(self) -> int:
+        """Inference calls made by the current thread (see the manager)."""
+        return self.inference_manager.thread_http_calls()

@@ -188,18 +188,15 @@ class KGMetaGovernor:
             entity_node_type=self._iri(uri, O.ENTITY_NODE),
         )
 
+    def _model_uris(self, model_class: Optional[IRI] = None) -> List[IRI]:
+        """URIs typed ``model_class`` (any model when None), sorted."""
+        uris = {subject for subject in self.graph.subjects(
+                    RDF_TYPE, O.GML_MODEL if model_class is None else model_class)
+                if isinstance(subject, IRI)}
+        return sorted(uris, key=lambda u: u.value)
+
     def list_models(self, model_class: Optional[IRI] = None) -> List[ModelMetadata]:
-        graph = self.graph
-        uris = set()
-        if model_class is None:
-            for subject in graph.subjects(RDF_TYPE, O.GML_MODEL):
-                if isinstance(subject, IRI):
-                    uris.add(subject)
-        else:
-            for subject in graph.subjects(RDF_TYPE, model_class):
-                if isinstance(subject, IRI):
-                    uris.add(subject)
-        return [self.describe(uri) for uri in sorted(uris, key=lambda u: u.value)]
+        return [self.describe(uri) for uri in self._model_uris(model_class)]
 
     def find_models(self, model_class: IRI,
                     constraints: Optional[Dict[IRI, Term]] = None) -> List[ModelMetadata]:
@@ -207,23 +204,16 @@ class KGMetaGovernor:
 
         ``constraints`` maps a kgnet: property (e.g. ``kgnet:TargetNode``) to
         the required value, mirroring the triple patterns of a SPARQL-ML
-        query's user-defined predicate block.
+        query's user-defined predicate block; ``None`` values match anything.
+        The constraint triples are checked on each URI first, so only
+        matching models pay for :meth:`describe`.
         """
-        constraints = constraints or {}
-        candidates = []
-        for metadata in self.list_models(model_class):
-            graph = self.graph
-            matches = True
-            for predicate, value in constraints.items():
-                if value is None:
-                    continue
-                found = any(True for _ in graph.triples(metadata.uri, predicate, value))
-                if not found:
-                    matches = False
-                    break
-            if matches:
-                candidates.append(metadata)
-        return candidates
+        required = [(predicate, value) for predicate, value in (constraints or {}).items()
+                    if value is not None]
+        graph = self.graph
+        return [self.describe(uri) for uri in self._model_uris(model_class)
+                if all(any(True for _ in graph.triples(uri, predicate, value))
+                       for predicate, value in required)]
 
     # ------------------------------------------------------------------
     # Deletion

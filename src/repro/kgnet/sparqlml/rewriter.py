@@ -12,9 +12,14 @@ by UDF calls:
   that materialises the full prediction dictionary, and the outer query looks
   rows up with ``sql:UDFS.getKeyValue(?dict, ?subject)``.
 
-The rewriter works on the AST and serialises the result back to SPARQL text
-(:mod:`repro.sparql.serializer`), so the output is executable by the plain
-SPARQL engine with the UDFs registered.
+The rewriter works on the AST: the endpoint evaluates the rewritten AST
+directly, and the text serialised from it (:mod:`repro.sparql.serializer`)
+is what reports and query statistics show.  That text is plain SPARQL, so
+it is also executable by the stock engine with the UDFs registered.
+
+The input query is never modified.  The output is a shallow copy whose
+``where`` group and ``select_items`` are rebuilt; every other node is shared
+with the input and must be treated as read-only.
 """
 
 from __future__ import annotations
@@ -83,8 +88,8 @@ class SPARQLMLRewriter:
             raise SPARQLMLError(
                 f"user-defined predicate {predicate.variable.n3()} never appears "
                 f"in a data triple pattern")
-        rewritten = copy.deepcopy(query)
-        rewritten.where = self._strip_predicate_triples(rewritten.where, predicate)
+        rewritten = copy.copy(query)
+        rewritten.where = self._strip_predicate_triples(query.where, predicate)
 
         if predicate.task_type == TaskType.NODE_CLASSIFICATION:
             if plan.plan == "dictionary":

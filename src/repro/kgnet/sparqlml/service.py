@@ -5,9 +5,10 @@ The service receives SPARQL-ML requests and routes them:
 * **INSERT** (``kgnet.TrainGML``) — meta-sample a task-specific subgraph,
   run the GMLaaS training pipeline, register the model in KGMeta,
 * **DELETE** — remove matching models from GMLaaS and their KGMeta metadata,
-* **SELECT** — find candidate models in KGMeta for every user-defined
-  predicate, pick the near-optimal model and execution plan, rewrite the
-  query to plain SPARQL + UDF calls, and execute it on the endpoint,
+* **SELECT** — parse the text once, find candidate models in KGMeta for
+  every user-defined predicate, pick the near-optimal model and execution
+  plan, rewrite the AST to plain SPARQL + UDF calls, and evaluate that AST
+  on the endpoint (the rewritten text only goes into the report),
 * anything else — passed through to the endpoint as plain SPARQL.
 """
 
@@ -130,9 +131,13 @@ class SPARQLMLService:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def execute(self, query_text: str, **kwargs):
-        """Classify and execute a SPARQL-ML request."""
-        kind = self.parser.classify(query_text)
+    def execute(self, query_text: str, kind: Optional[str] = None, **kwargs):
+        """Classify and execute a SPARQL-ML request.
+
+        A caller that already classified ``query_text`` passes its ``kind``
+        so the text is not classified twice.
+        """
+        kind = kind or self.parser.classify(query_text)
         if kind == "train":
             return self.execute_train(query_text, **kwargs)
         if kind == "delete":
@@ -229,11 +234,12 @@ class SPARQLMLService:
     def execute_select(self, query_text: str,
                        objective: Optional[ModelSelectionObjective] = None,
                        force_plan: Optional[str] = None) -> SelectReport:
+        # The text is tokenized and parsed exactly once, here; the endpoint
+        # evaluates the (rewritten) AST and never re-parses any text.
         query, predicates = self.parser.parse_select(query_text)
         if not predicates:
             # No user-defined predicate: plain SPARQL.
-            result = self.endpoint.query(query_text)
-            return SelectReport(results=result)
+            return SelectReport(results=self.endpoint.run_query(query, query_text))
 
         rewritten_queries: List[RewrittenQuery] = []
         chosen_models: List[ModelMetadata] = []
@@ -250,11 +256,14 @@ class SPARQLMLService:
             chosen_models.append(model)
             plans.append(plan)
 
-        calls_before = self.gmlaas.http_calls
+        final = rewritten_queries[-1]
+        # Evaluation runs on this thread, so the per-thread counter holds
+        # exactly this query's inference calls, whatever else is serving.
+        calls_before = self.gmlaas.thread_http_calls()
         started = time.perf_counter()
-        results = self.endpoint.query(rewritten_queries[-1].text)
+        results = self.endpoint.run_query(final.query, final.text)
         elapsed = time.perf_counter() - started
-        http_calls = self.gmlaas.http_calls - calls_before
+        http_calls = self.gmlaas.thread_http_calls() - calls_before
         if not isinstance(results, ResultSet):
             raise SPARQLMLError("rewritten SPARQL-ML query did not return a result set")
         return SelectReport(results=results, rewritten=rewritten_queries,

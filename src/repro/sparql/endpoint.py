@@ -249,6 +249,7 @@ class QueryStatistics:
     elapsed_seconds: float
     num_results: int
     pattern_lookups: int
+    #: UDF calls this request made; concurrent requests never leak in.
     udf_calls: int = 0
     plan_cache_hit: bool = False
 
@@ -604,11 +605,11 @@ class SPARQLEndpoint:
             raise QueryError(
                 "the request is a SPARQL query, not an update; "
                 "send it through the query operation")
-        return self._run_query(parsed, text, graph_iri=None, plan=plan,
-                               cache_hit=cache_hit,
-                               default_graph_iris=default_graph_iris,
-                               named_graph_iris=named_graph_iris,
-                               context=context)
+        return self.run_query(parsed, text, graph_iri=None, plan=plan,
+                              cache_hit=cache_hit,
+                              default_graph_iris=default_graph_iris,
+                              named_graph_iris=named_graph_iris,
+                              context=context)
 
     def is_update(self, text: str) -> bool:
         """Whether ``text`` parses as a SPARQL update (vs a query).
@@ -654,7 +655,6 @@ class SPARQLEndpoint:
         evaluator = QueryEvaluator(graph, udfs=self.udfs,
                                    optimize_joins=self.optimize_joins,
                                    plan=plan, execution=context)
-        udf_calls_before = self.udfs.total_calls()
         started = time.perf_counter()
 
         def record(kind: str, count: int) -> QueryStatistics:
@@ -663,7 +663,7 @@ class SPARQLEndpoint:
                 elapsed_seconds=time.perf_counter() - started,
                 num_results=count,
                 pattern_lookups=evaluator.pattern_lookups,
-                udf_calls=self.udfs.total_calls() - udf_calls_before,
+                udf_calls=evaluator.context.udf_calls,
                 plan_cache_hit=cache_hit,
             )
             with self._stats_lock:
@@ -696,8 +696,8 @@ class SPARQLEndpoint:
             # The request is an update; surface the canonical parser error.
             SPARQLParser(text, namespaces=self.namespaces).parse_query()
             raise QueryError("update request passed to query()")
-        return self._run_query(parsed, text, graph_iri=graph_iri, plan=plan,
-                               cache_hit=cache_hit)
+        return self.run_query(parsed, text, graph_iri=graph_iri, plan=plan,
+                              cache_hit=cache_hit)
 
     def _protocol_graph(self, graph_iris: Optional[List[Union[str, IRI]]],
                         named_graph_iris: Optional[List[Union[str, IRI]]] = None):
@@ -725,14 +725,20 @@ class SPARQLEndpoint:
                     for g in (named_graph_iris or ()))
         return self.dataset.snapshot().union_of(tuple(dict.fromkeys(iris)))
 
-    def _run_query(self, query: Query, text: str,
-                   graph_iri: Optional[Union[str, IRI]] = None,
-                   plan: Optional[QueryPlan] = None,
-                   cache_hit: bool = False,
-                   default_graph_iris: Optional[List[Union[str, IRI]]] = None,
-                   context: Optional[ExecutionContext] = None,
-                   named_graph_iris: Optional[List[Union[str, IRI]]] = None):
-        """Evaluate an already-parsed query, recording statistics."""
+    def run_query(self, query: Query, text: str,
+                  graph_iri: Optional[Union[str, IRI]] = None,
+                  plan: Optional[QueryPlan] = None,
+                  cache_hit: bool = False,
+                  default_graph_iris: Optional[List[Union[str, IRI]]] = None,
+                  context: Optional[ExecutionContext] = None,
+                  named_graph_iris: Optional[List[Union[str, IRI]]] = None):
+        """Evaluate an already-parsed query, recording statistics.
+
+        ``text`` is only what the statistics and ``history`` record; the
+        query is never re-parsed from it.  Callers that built ``query``
+        themselves (the SPARQL-ML rewriter) run it here directly; without a
+        ``plan`` its BGPs are compiled for this one evaluation.
+        """
         if default_graph_iris or named_graph_iris:
             graph = self._protocol_graph(default_graph_iris, named_graph_iris)
         elif graph_iri is not None:
@@ -744,7 +750,6 @@ class SPARQLEndpoint:
         evaluator = QueryEvaluator(graph, udfs=self.udfs,
                                    optimize_joins=self.optimize_joins,
                                    plan=plan, execution=context)
-        udf_calls_before = self.udfs.total_calls()
         started = time.perf_counter()
         result = evaluator.evaluate(query)
         elapsed = time.perf_counter() - started
@@ -760,7 +765,7 @@ class SPARQLEndpoint:
         statistics = QueryStatistics(
             query=text, kind=kind, elapsed_seconds=elapsed, num_results=count,
             pattern_lookups=evaluator.pattern_lookups,
-            udf_calls=self.udfs.total_calls() - udf_calls_before,
+            udf_calls=evaluator.context.udf_calls,
             plan_cache_hit=cache_hit,
         )
         with self._stats_lock:

@@ -155,6 +155,10 @@ class EvaluationContext:
         #: Callback used to evaluate EXISTS { ... } sub-patterns; injected by
         #: the query evaluator to avoid a circular import.
         self.exists_evaluator = exists_evaluator
+        #: UDF calls made through this context.  One context belongs to one
+        #: evaluation, so this counts one query's calls only, unlike the
+        #: registry's process-wide ``call_counts``.
+        self.udf_calls = 0
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +374,7 @@ def evaluate_expression(expr: Expression, solution: Solution,
             return _BUILTINS[name](args)
         # Fall back to user-defined functions registered with the endpoint.
         if expr.name in context.udfs:
+            context.udf_calls += 1
             result = context.udfs.call(expr.name, *args)
             return _coerce_udf_result(result)
         raise UDFError(f"unknown function {expr.name!r}")

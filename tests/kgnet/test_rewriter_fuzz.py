@@ -7,8 +7,9 @@ predicate, the rewriter must emit plain SPARQL that
 * round-trips through the serializer (serialize(parse(text)) is a fixed
   point, so the emitted text is canonical, not accidentally parseable),
 * contains no trace of the user-defined predicate (neither the predicate
-  variable nor its kgnet: constraint triples), and
-* keeps every non-UDP pattern of the original WHERE clause.
+  variable nor its kgnet: constraint triples),
+* keeps every non-UDP pattern of the original WHERE clause, and
+* leaves the input AST unchanged (the rewrite shares nodes with it).
 
 Hypothesis generates random queries over that grammar; the corpus under
 ``tests/fixtures/sparqlml_corpus/`` pins down known shapes as regression
@@ -104,7 +105,13 @@ def _assert_rewrite_is_sound(text: str, force_plan: str = None) -> None:
     assert len(predicates) == 1, "generator must produce exactly one UDP"
     predicate = predicates[0]
     plan = SPARQLMLOptimizer().choose_plan(100, 100, force_plan=force_plan)
+    before = serialize_select(query)
     rewritten = SPARQLMLRewriter().rewrite(query, predicate, MODEL_URI, plan)
+
+    # 0. The input is untouched, and the AST the endpoint evaluates is the
+    #    one the reported text describes.
+    assert serialize_select(query) == before
+    assert serialize_select(rewritten.query) == rewritten.text
 
     # 1. Plain SPARQL: the stock parser accepts it.
     reparsed = parse_query(rewritten.text)
