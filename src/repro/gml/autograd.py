@@ -149,6 +149,11 @@ class Tensor:
             topo.append(node)
 
         build(self)
+        # ``build`` refers to itself through its closure cell.  Deleting it
+        # breaks that cycle, so ``topo`` — every tensor of the graph — is
+        # freed when this call returns, not whenever the cyclic garbage
+        # collector next runs.
+        del build
         grads = {id(self): np.asarray(grad, dtype=np.float64)}
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)

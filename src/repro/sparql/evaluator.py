@@ -36,7 +36,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryError, UpdateError
 from repro.rdf.dataset import Dataset
@@ -57,13 +57,16 @@ from repro.sparql.ast import (
     AskQuery,
     BGP,
     BindPattern,
+    BinaryOp,
     ClearUpdate,
     ClosurePattern,
     ConstructQuery,
     DeleteDataUpdate,
     Expression,
     FilterPattern,
+    FunctionCall,
     GroupPattern,
+    InExpr,
     InsertDataUpdate,
     InversePath,
     LinkPath,
@@ -80,6 +83,7 @@ from repro.sparql.ast import (
     SequencePath,
     SubSelectPattern,
     TriplePattern,
+    UnaryOp,
     UnionPattern,
     Update,
     ValuesPattern,
@@ -93,10 +97,11 @@ from repro.sparql.optimizer import (
 )
 from repro.sparql.paths import invert_path, normalize_path, rewrite_path_pattern
 from repro.sparql.functions import (
+    CompiledExpression,
     EvaluationContext,
     UDFRegistry,
+    compile_expression,
     effective_boolean_value,
-    evaluate_expression,
 )
 from repro.sparql.results import ResultSet, Solution
 
@@ -448,8 +453,22 @@ class QueryEvaluator:
         #: Resolved lazily on first BGP: the plan's compiled store for this
         #: exact (graph, epoch) target.
         self._plan_state: Optional[Dict[int, _CompiledBGP]] = None
-        self.context = EvaluationContext(udfs=self.udfs,
-                                         exists_evaluator=self._evaluate_exists)
+        # The context reaches this evaluator only through a weak proxy.  A
+        # bound method would close a cycle (evaluator -> compiled closures
+        # -> context -> evaluator), so every query's closures would wait for
+        # the cyclic garbage collector instead of being freed on return, and
+        # their count would move the collector's schedule under other work.
+        evaluator = weakref.proxy(self)
+        self.context = EvaluationContext(
+            udfs=self.udfs,
+            exists_evaluator=lambda pattern, solution:
+                evaluator._evaluate_exists(pattern, solution))
+        #: Compiled expression sites, keyed by the AST node's identity.  The
+        #: node is kept alive beside its closure so its id cannot be reused.
+        #: A FILTER inside OPTIONAL or EXISTS re-enters its group once per
+        #: outer row; this table keeps it compiled once per evaluation (the
+        #: endpoint builds one evaluator per evaluation).
+        self._sites: Dict[int, Tuple[Expression, Callable]] = {}
         #: Number of triple-pattern index lookups performed (for benchmarks).
         self.pattern_lookups = 0
 
@@ -1263,11 +1282,11 @@ class QueryEvaluator:
     def _stream_filter(self, expression: Expression,
                        solutions: Iterator[Solution]) -> Iterator[Solution]:
         execution = self.execution
+        test = self._compile(expression)
         for solution in solutions:
             if execution is not None:
                 execution.checkpoint()
-            if effective_boolean_value(
-                    evaluate_expression(expression, solution, self.context)):
+            if effective_boolean_value(test(solution)):
                 yield solution
 
     def _stream_optional(self, element: OptionalPattern,
@@ -1313,10 +1332,11 @@ class QueryEvaluator:
     def _stream_bind(self, element: BindPattern,
                      solutions: Iterator[Solution]) -> Iterator[Solution]:
         execution = self.execution
+        value_of = self._compile(element.expression)
         for solution in solutions:
             if execution is not None:
                 execution.checkpoint()
-            value = evaluate_expression(element.expression, solution, self.context)
+            value = value_of(solution)
             extended = Solution(solution)
             if value is not None:
                 if element.variable in extended and extended[element.variable] != value:
@@ -1363,22 +1383,60 @@ class QueryEvaluator:
             return True
         return False
 
+    # -- expression sites ------------------------------------------------------
+    def _site(self, expression: Expression,
+              build: Callable[[], Callable]) -> Callable:
+        """The callable built for ``expression``'s site in this evaluation."""
+        entry = self._sites.get(id(expression))
+        if entry is None:
+            entry = self._sites[id(expression)] = (expression, build())
+        return entry[1]
+
+    def _compile(self, expression: Expression) -> CompiledExpression:
+        return self._site(expression,
+                          lambda: compile_expression(expression, self.context))
+
+    def _compile_having(self, condition: Expression
+                        ) -> Callable[[Solution, List[Solution]], bool]:
+        """HAVING ``condition`` as ``holds(group_row, members)``.
+
+        Each aggregate in the condition is lifted out into a placeholder
+        variable, bound per group to the aggregate over the group's members;
+        the rest of the condition is compiled once like any other site.
+        """
+        def build() -> Callable[[Solution, List[Solution]], bool]:
+            lifted: List[Tuple[Variable, Aggregate]] = []
+            test = compile_expression(_lift_aggregates(condition, lifted),
+                                      self.context)
+            aggregates = [(placeholder, aggregate, self._compile_argument(aggregate))
+                          for placeholder, aggregate in lifted]
+            compute = self._compute_aggregate  # a staticmethod: holds no self
+
+            def holds(row: Solution, members: List[Solution]) -> bool:
+                bound = Solution(row)
+                for placeholder, aggregate, value_of in aggregates:
+                    value = compute(aggregate, value_of, members)
+                    if value is not None:
+                        bound[placeholder] = value
+                return effective_boolean_value(test(bound))
+            return holds
+        return self._site(condition, build)
+
     # -- grouping / aggregation ----------------------------------------------
     def _apply_grouping(self, query: SelectQuery,
                         solutions: Iterable[Solution]) -> Iterable[Solution]:
         has_aggregate = any(
             isinstance(item.expression, Aggregate) for item in query.select_items
         )
-        if not query.group_by and not has_aggregate:
+        if not query.group_by and not has_aggregate and not query.having:
             return solutions  # passthrough: keep the pipeline lazy
+        keys = [self._compile(expr) for expr in query.group_by]
+        having = [self._compile_having(condition) for condition in query.having]
         groups: Dict[Tuple, List[Solution]] = {}
         empty = True
         for solution in solutions:
             empty = False
-            key = tuple(
-                evaluate_expression(expr, solution, self.context)
-                for expr in query.group_by
-            )
+            key = tuple(value_of(solution) for value_of in keys)
             groups.setdefault(key, []).append(solution)
         if empty and not query.group_by:
             groups[()] = []
@@ -1391,20 +1449,30 @@ class QueryEvaluator:
             for item in query.select_items:
                 if isinstance(item.expression, Aggregate):
                     target = item.alias or Variable(f"agg_{len(row)}")
-                    value = self._compute_aggregate(item.expression, members)
+                    value = self._compute_aggregate(
+                        item.expression, self._compile_argument(item.expression),
+                        members)
                     if value is not None:
                         row[target] = value
-            aggregated.append(row)
+            if all(holds(row, members) for holds in having):
+                aggregated.append(row)
         return aggregated
 
-    def _compute_aggregate(self, aggregate: Aggregate,
+    def _compile_argument(self, aggregate: Aggregate
+                          ) -> Optional[CompiledExpression]:
+        """The aggregate's compiled argument; None for ``COUNT(*)``."""
+        return None if aggregate.expr is None else self._compile(aggregate.expr)
+
+    @staticmethod
+    def _compute_aggregate(aggregate: Aggregate,
+                           value_of: Optional[CompiledExpression],
                            members: List[Solution]) -> Optional[Term]:
         values: List[Term] = []
-        if aggregate.expr is None:
+        if value_of is None:
             values = [Literal(1)] * len(members)
         else:
             for member in members:
-                value = evaluate_expression(aggregate.expr, member, self.context)
+                value = value_of(member)
                 if value is not None:
                     values.append(value)
         if aggregate.distinct:
@@ -1459,30 +1527,20 @@ class QueryEvaluator:
             if not variables:
                 variables = query.projected_variables()
             return variables, materialized
-        has_aggregate = any(isinstance(item.expression, Aggregate)
-                            for item in query.select_items)
         variables = []
         for item in query.select_items:
             try:
                 variables.append(item.output_variable)
             except ValueError:
                 variables.append(Variable(f"expr{len(variables)}"))
-        if has_aggregate:
-            # Aggregate queries were materialised during grouping already.
-            projected = [self._project_row(variables, query.select_items, solution)
-                         for solution in solutions]
-            if not query.group_by and not projected:
-                projected = [Solution()]
-            return variables, projected
         if all(isinstance(item.expression, VariableExpr) and item.alias is None
                for item in query.select_items):
             # Bare-variable projection (the hot case): plain binding copies,
             # no per-row expression dispatch.
             sources = [item.expression.variable for item in query.select_items]
             return variables, self._project_bare(variables, sources, solutions)
-        return variables, (
-            self._project_row(variables, query.select_items, solution)
-            for solution in solutions)
+        return variables, map(
+            self._row_projector(variables, query.select_items), solutions)
 
     @staticmethod
     def _project_bare(variables: List[Variable], sources: List[Variable],
@@ -1503,31 +1561,35 @@ class QueryEvaluator:
                     row[variable] = value
             yield row
 
-    def _project_row(self, variables: List[Variable],
-                     select_items: List[SelectItem],
-                     solution: Solution) -> Solution:
-        row = Solution()
+    def _row_projector(self, variables: List[Variable],
+                       select_items: List[SelectItem]
+                       ) -> Callable[[Solution], Solution]:
+        """Build one output row per solution, each item compiled once."""
+        columns: List[Tuple[Variable, CompiledExpression]] = []
         for variable, item in zip(variables, select_items):
             if isinstance(item.expression, Aggregate):
                 # Aggregates were already folded in during grouping.
-                if variable in solution:
-                    row[variable] = solution[variable]
-                continue
-            if isinstance(item.expression, VariableExpr) and item.alias is None:
-                value = solution.get(item.expression.variable)
+                value_of = compile_expression(VariableExpr(variable), self.context)
             else:
-                value = evaluate_expression(item.expression, solution, self.context)
-            if value is not None:
-                row[variable] = value
-        return row
+                value_of = self._compile(item.expression)
+            columns.append((variable, value_of))
+
+        def project(solution: Solution) -> Solution:
+            row = Solution()
+            for variable, value_of in columns:
+                value = value_of(solution)
+                if value is not None:
+                    row[variable] = value
+            return row
+        return project
 
     def _apply_order(self, query: SelectQuery,
                      solutions: Iterable[Solution]) -> Iterable[Solution]:
         if not query.order_by:
             return solutions
 
-        def order_key(condition, solution: Solution) -> Tuple:
-            value = evaluate_expression(condition.expression, solution, self.context)
+        def order_key(value_of: CompiledExpression, solution: Solution) -> Tuple:
+            value = value_of(solution)
             if value is None:
                 return (0, "")
             if isinstance(value, Literal) and value.is_numeric():
@@ -1537,9 +1599,9 @@ class QueryEvaluator:
         # Decorate-sort-undecorate: every sort key is computed exactly once
         # per solution, then stable sorts compose from the last condition to
         # the first (each with its own direction).
+        keys = [self._compile(condition.expression) for condition in query.order_by]
         decorated = [
-            ([order_key(condition, solution) for condition in query.order_by],
-             solution)
+            ([order_key(value_of, solution) for value_of in keys], solution)
             for solution in solutions
         ]
         for index in reversed(range(len(query.order_by))):
@@ -1631,6 +1693,32 @@ class QueryEvaluator:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+def _lift_aggregates(expr: Expression,
+                     lifted: List[Tuple[Variable, Aggregate]]) -> Expression:
+    """``expr`` with each aggregate replaced by a fresh placeholder variable.
+
+    The ``(placeholder, aggregate)`` pairs are appended to ``lifted``.  A
+    placeholder's name starts with ``.``, which no parsed variable can.
+    """
+    def lift(node: Expression) -> Expression:
+        if isinstance(node, Aggregate):
+            placeholder = Variable(f".having{len(lifted)}")
+            lifted.append((placeholder, node))
+            return VariableExpr(placeholder)
+        if isinstance(node, UnaryOp):
+            return UnaryOp(node.op, lift(node.operand))
+        if isinstance(node, BinaryOp):
+            return BinaryOp(node.op, lift(node.left), lift(node.right))
+        if isinstance(node, InExpr):
+            return InExpr(lift(node.operand),
+                          tuple(lift(choice) for choice in node.choices),
+                          node.negated)
+        if isinstance(node, FunctionCall):
+            return FunctionCall(node.name, tuple(lift(arg) for arg in node.args))
+        return node
+    return lift(expr)
+
 
 def _instantiate(pattern: TriplePattern, solution: Solution) -> Optional[Triple]:
     """Substitute bindings into a triple template; None when a var is unbound."""

@@ -1,6 +1,11 @@
 """Expression evaluation: SPARQL built-in functions and operators.
 
-The evaluator delegates every expression node to :func:`evaluate_expression`.
+Two implementations of the same semantics live here.
+:func:`compile_expression` resolves an expression tree once into nested
+closures; the query evaluator compiles each expression site once per
+evaluation and calls the closure per row.  :func:`evaluate_expression` walks
+the tree per call; the frozen reference evaluator uses it, so the two stay
+independent implementations that the differential tests compare.
 User-defined functions (the paper's ``sql:UDFS.getNodeClass`` and
 ``sql:UDFS.getKeyValue``) are resolved through a :class:`UDFRegistry` owned by
 the endpoint, which is how KGNet interfaces trained models with the RDF
@@ -9,15 +14,17 @@ engine (paper §III-B and §IV-B.3).
 
 from __future__ import annotations
 
+import math
 import re
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import QueryError, UDFError
 from repro.rdf.terms import (
     IRI,
     BNode,
     Literal,
+    RDF_LANGSTRING,
     Term,
     Variable,
     XSD_BOOLEAN,
@@ -42,6 +49,8 @@ __all__ = [
     "UDFRegistry",
     "EvaluationContext",
     "OpaqueValue",
+    "CompiledExpression",
+    "compile_expression",
     "evaluate_expression",
     "effective_boolean_value",
     "term_to_number",
@@ -127,13 +136,30 @@ class UDFRegistry:
     def __contains__(self, name: str) -> bool:
         return self._normalise(name) in self._functions
 
+    def resolve(self, name: str) -> Optional[Callable[..., object]]:
+        """``name`` resolved once: a callable that counts each call, or None.
+
+        The name is normalised and looked up here, so a caller that invokes
+        the result per row pays neither again.
+        """
+        key = self._normalise(name)
+        function = self._functions.get(key)
+        if function is None:
+            return None
+        counts = self.call_counts
+        lock = self._counts_lock
+
+        def counted(*args: object) -> object:
+            with lock:
+                counts[key] = counts.get(key, 0) + 1
+            return function(*args)
+
+        return counted
+
     def call(self, name: str, *args: object) -> object:
-        function = self.lookup(name)
+        function = self.resolve(name)
         if function is None:
             raise UDFError(f"unknown user-defined function {name!r}")
-        key = self._normalise(name)
-        with self._counts_lock:
-            self.call_counts[key] = self.call_counts.get(key, 0) + 1
         return function(*args)
 
     def total_calls(self, name: Optional[str] = None) -> int:
@@ -255,9 +281,51 @@ def _builtin_regex(args: List[Optional[Term]]) -> Term:
     return _boolean(re.search(pattern.lexical, text.lexical, flags) is not None)
 
 
+def _string_literal(term: Optional[Term], function: str) -> Literal:
+    if isinstance(term, Literal) and term.datatype in (XSD_STRING, RDF_LANGSTRING):
+        return term
+    raise QueryError(f"{function}() expects a string literal, got {term!r}")
+
+
+def _xpath_round(value: float) -> float:
+    """``fn:round``: halves round towards positive infinity."""
+    return float(math.floor(value + 0.5)) if math.isfinite(value) else value
+
+
+def _builtin_substr(args: List[Optional[Term]]) -> Term:
+    """``SUBSTR(source, start[, length])`` per SPARQL 1.1 §17.4.3.3.
+
+    Positions are 1-based and follow XPath ``fn:substring``: the result
+    keeps the characters at positions ``p`` with ``round(start) <= p <
+    round(start) + round(length)``.  The language tag is kept.
+    """
+    source = _string_literal(args[0], "SUBSTR")
+    start = _xpath_round(term_to_number(args[1]))
+    end = start + _xpath_round(term_to_number(args[2])) if len(args) > 2 else math.inf
+    text = "".join(char for position, char in enumerate(source.lexical, 1)
+                   if start <= position < end)
+    return Literal(text, language=source.language)
+
+
+def _builtin_langmatches(args: List[Optional[Term]]) -> Term:
+    """``langMatches(tag, range)`` per SPARQL 1.1 §17.4.3.8.
+
+    RFC 4647 basic filtering, case-insensitive: ``"*"`` matches every
+    non-empty tag; any other range matches the tag itself and the tags that
+    extend it with a ``-`` subtag.
+    """
+    tag = _string_literal(args[0], "LANGMATCHES").lexical.lower()
+    language_range = _string_literal(args[1], "LANGMATCHES").lexical.lower()
+    if language_range == "*":
+        return _boolean(tag != "")
+    return _boolean(tag == language_range or tag.startswith(language_range + "-"))
+
+
 _BUILTINS: Dict[str, Callable[[List[Optional[Term]]], Term]] = {
     "STR": _builtin_str,
     "REGEX": _builtin_regex,
+    "SUBSTR": _builtin_substr,
+    "LANGMATCHES": _builtin_langmatches,
     "UCASE": lambda args: Literal(str(args[0]).upper()),
     "LCASE": lambda args: Literal(str(args[0]).lower()),
     "STRLEN": lambda args: Literal(len(str(args[0]))),
@@ -380,6 +448,190 @@ def evaluate_expression(expr: Expression, solution: Solution,
         raise UDFError(f"unknown function {expr.name!r}")
 
     raise QueryError(f"cannot evaluate expression node {type(expr).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Expression compilation
+# ---------------------------------------------------------------------------
+
+#: A compiled expression: one solution in, its value (None when unbound) out.
+CompiledExpression = Callable[[Solution], Optional[Term]]
+
+_COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
+
+
+def compile_expression(expr: Expression,
+                       context: Optional[EvaluationContext] = None
+                       ) -> CompiledExpression:
+    """Resolve ``expr`` once into nested closures over a solution.
+
+    The result computes what :func:`evaluate_expression` computes, call for
+    call: the same short-circuiting, the same UDF calls (counted in
+    ``context.udf_calls`` and the registry's ``call_counts``) and the same
+    typed errors, raised when the closure runs rather than here, so an
+    expression over zero rows never fails.  Function names are resolved
+    here instead of per row.  A UDF call site coerces string results
+    through a memo it owns, so the memo lives as long as the closure.
+    """
+    return _compile(expr, context or EvaluationContext())
+
+
+def _raising(make_error: Callable[[], Exception],
+             operands: Sequence[CompiledExpression] = ()) -> CompiledExpression:
+    """A closure that evaluates ``operands`` (for their side effects) and raises."""
+    def fail(solution: Solution) -> Optional[Term]:
+        for operand in operands:
+            operand(solution)
+        raise make_error()
+    return fail
+
+
+def _compile(expr: Expression, context: EvaluationContext) -> CompiledExpression:
+    if isinstance(expr, ConstantExpr):
+        constant = expr.value
+        return lambda solution: constant
+    if isinstance(expr, VariableExpr):
+        variable = expr.variable
+        return lambda solution: solution.get(variable)
+    if isinstance(expr, UnaryOp):
+        return _compile_unary(expr, context)
+    if isinstance(expr, BinaryOp):
+        return _compile_binary(expr, context)
+    if isinstance(expr, InExpr):
+        return _compile_in(expr, context)
+    if isinstance(expr, ExistsExpr):
+        return _compile_exists(expr, context)
+    if isinstance(expr, Aggregate):
+        return _raising(lambda: QueryError("aggregate used outside GROUP BY evaluation"))
+    if isinstance(expr, FunctionCall):
+        return _compile_call(expr, context)
+    node = type(expr).__name__
+    return _raising(lambda: QueryError(f"cannot evaluate expression node {node}"))
+
+
+def _compile_unary(expr: UnaryOp, context: EvaluationContext) -> CompiledExpression:
+    operand = _compile(expr.operand, context)
+    if expr.op == "!":
+        return lambda solution: FALSE if effective_boolean_value(operand(solution)) else TRUE
+    negate = expr.op == "-"
+
+    def numeric(solution: Solution) -> Optional[Term]:
+        number = term_to_number(operand(solution))
+        return _make_numeric_literal(-number if negate else number)
+    return numeric
+
+
+def _compile_binary(expr: BinaryOp, context: EvaluationContext) -> CompiledExpression:
+    op = expr.op
+    left = _compile(expr.left, context)
+    right = _compile(expr.right, context)
+    if op == "&&":
+        def conjunction(solution: Solution) -> Optional[Term]:
+            if not effective_boolean_value(left(solution)):
+                return FALSE
+            return TRUE if effective_boolean_value(right(solution)) else FALSE
+        return conjunction
+    if op == "||":
+        def disjunction(solution: Solution) -> Optional[Term]:
+            if effective_boolean_value(left(solution)):
+                return TRUE
+            return TRUE if effective_boolean_value(right(solution)) else FALSE
+        return disjunction
+    if op in _COMPARISONS:
+        def comparison(solution: Solution) -> Optional[Term]:
+            left_value = left(solution)
+            right_value = right(solution)
+            if left_value is None or right_value is None:
+                return FALSE
+            return TRUE if _compare(op, left_value, right_value) else FALSE
+        return comparison
+
+    def arithmetic(solution: Solution) -> Optional[Term]:
+        left_value = left(solution)
+        right_value = right(solution)
+        lv, rv = term_to_number(left_value), term_to_number(right_value)
+        if op == "+":
+            return _make_numeric_literal(lv + rv)
+        if op == "-":
+            return _make_numeric_literal(lv - rv)
+        if op == "*":
+            return _make_numeric_literal(lv * rv)
+        if op == "/":
+            if rv == 0:
+                raise QueryError("division by zero in FILTER expression")
+            return _make_numeric_literal(lv / rv)
+        raise QueryError(f"unknown operator {op!r}")
+    return arithmetic
+
+
+def _compile_in(expr: InExpr, context: EvaluationContext) -> CompiledExpression:
+    operand = _compile(expr.operand, context)
+    choices = tuple(_compile(choice, context) for choice in expr.choices)
+    negated = expr.negated
+
+    def membership(solution: Solution) -> Optional[Term]:
+        value = operand(solution)
+        members = [choice(solution) for choice in choices]
+        found = value is not None and any(
+            member is not None and _compare("=", value, member)
+            for member in members)
+        return _boolean(found != negated)
+    return membership
+
+
+def _compile_exists(expr: ExistsExpr, context: EvaluationContext) -> CompiledExpression:
+    pattern = expr.pattern
+    negated = expr.negated
+
+    def exists(solution: Solution) -> Optional[Term]:
+        if context.exists_evaluator is None:
+            raise QueryError("EXISTS is not available in this context")
+        return _boolean(context.exists_evaluator(pattern, solution) != negated)
+    return exists
+
+
+def _compile_call(expr: FunctionCall, context: EvaluationContext) -> CompiledExpression:
+    name = expr.name.upper()
+    if name == "BOUND":
+        inner = expr.args[0] if expr.args else None
+        if not isinstance(inner, VariableExpr):
+            return _raising(lambda: QueryError("BOUND expects a variable"))
+        variable = inner.variable
+        return lambda solution: TRUE if variable in solution else FALSE
+    args = tuple(_compile(arg, context) for arg in expr.args)
+    if name == "IF":
+        def conditional(solution: Solution) -> Optional[Term]:
+            branch = args[1] if effective_boolean_value(args[0](solution)) else args[2]
+            return branch(solution)
+        return conditional
+    if name == "COALESCE":
+        def coalesce(solution: Solution) -> Optional[Term]:
+            for arg in args:
+                value = arg(solution)
+                if value is not None:
+                    return value
+            return None
+        return coalesce
+    builtin = _BUILTINS.get(name)
+    if builtin is not None:
+        return lambda solution: builtin([arg(solution) for arg in args])
+    function = context.udfs.resolve(expr.name)
+    if function is None:
+        unknown = expr.name
+        return _raising(lambda: UDFError(f"unknown function {unknown!r}"), args)
+    coerced: Dict[str, Optional[Term]] = {}
+
+    def call_udf(solution: Solution) -> Optional[Term]:
+        values = [arg(solution) for arg in args]
+        context.udf_calls += 1
+        result = function(*values)
+        if type(result) is str:
+            term = coerced.get(result)
+            if term is None:
+                term = coerced[result] = _coerce_udf_result(result)
+            return term
+        return _coerce_udf_result(result)
+    return call_udf
 
 
 def _coerce_udf_result(result: object) -> Optional[Term]:

@@ -248,6 +248,8 @@ class SPARQLParser:
         if self._at_keyword("HAVING"):
             self._next()
             query.having.append(self._parse_expression())
+            while self._at_punct("("):
+                query.having.append(self._parse_expression())
         if self._at_keyword("ORDER"):
             self._next()
             self._expect_keyword("BY")

@@ -23,10 +23,17 @@ term space by materialising endpoint-pair bags (sets for ``*``/``+``/``?``,
 per the SPARQL 1.1 ALP distinct-pair semantics) — a completely different
 code path from the id-space BFS rewrite in the streaming evaluator, which is
 exactly what makes the differential suite meaningful.
+
+A second extension: HAVING, which the seed parsed and then ignored.  Each
+group's HAVING condition is evaluated by the tree-walking
+:func:`~repro.sparql.functions.evaluate_expression` after every aggregate in
+it is folded into a constant over the group's members — a different route
+from the streaming evaluator's compiled placeholders.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryError
@@ -38,7 +45,9 @@ from repro.sparql.ast import (
     AskQuery,
     BGP,
     BindPattern,
+    ConstantExpr,
     ConstructQuery,
+    Expression,
     FilterPattern,
     GroupPattern,
     InversePath,
@@ -394,7 +403,7 @@ class ReferenceQueryEvaluator:
         has_aggregate = any(
             isinstance(item.expression, Aggregate) for item in query.select_items
         )
-        if not query.group_by and not has_aggregate:
+        if not query.group_by and not has_aggregate and not query.having:
             return solutions
         groups: Dict[Tuple, List[Solution]] = {}
         for solution in solutions:
@@ -417,8 +426,29 @@ class ReferenceQueryEvaluator:
                     value = self._compute_aggregate(item.expression, members)
                     if value is not None:
                         row[target] = value
-            aggregated.append(row)
+            if all(effective_boolean_value(evaluate_expression(
+                    self._fold_aggregates(condition, members), row, self.context))
+                   for condition in query.having):
+                aggregated.append(row)
         return aggregated
+
+    def _fold_aggregates(self, expr: Expression,
+                         members: List[Solution]) -> Expression:
+        """``expr`` with every aggregate replaced by its value over ``members``."""
+        if isinstance(expr, Aggregate):
+            return ConstantExpr(self._compute_aggregate(expr, members))
+        if not is_dataclass(expr):
+            return expr
+        changes = {}
+        for field in fields(expr):
+            value = getattr(expr, field.name)
+            if isinstance(value, Expression):
+                changes[field.name] = self._fold_aggregates(value, members)
+            elif isinstance(value, tuple):
+                changes[field.name] = tuple(
+                    self._fold_aggregates(item, members)
+                    if isinstance(item, Expression) else item for item in value)
+        return replace(expr, **changes)
 
     def _compute_aggregate(self, aggregate: Aggregate,
                            members: List[Solution]) -> Optional[Term]:
@@ -480,8 +510,6 @@ class ReferenceQueryEvaluator:
             if not variables:
                 variables = query.projected_variables()
             return variables, solutions
-        has_aggregate = any(isinstance(item.expression, Aggregate)
-                            for item in query.select_items)
         variables = []
         for item in query.select_items:
             try:
@@ -503,8 +531,6 @@ class ReferenceQueryEvaluator:
                 if value is not None:
                     row[variable] = value
             projected.append(row)
-        if has_aggregate and not query.group_by and not projected:
-            projected = [Solution()]
         return variables, projected
 
     def _apply_order(self, query: SelectQuery,

@@ -215,8 +215,10 @@ def serialize_select(query: SelectQuery, indent: int = 0,
     if query.group_by:
         rendered = " ".join(serialize_expression(expr) for expr in query.group_by)
         lines.append(f"{pad}GROUP BY {rendered}")
-    for having in query.having:
-        lines.append(f"{pad}HAVING({serialize_expression(having)})")
+    if query.having:
+        rendered = " ".join(f"({serialize_expression(condition)})"
+                            for condition in query.having)
+        lines.append(f"{pad}HAVING {rendered}")
     if query.order_by:
         rendered = []
         for condition in query.order_by:

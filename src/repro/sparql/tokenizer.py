@@ -3,7 +3,8 @@
 The tokenizer produces a flat list of :class:`Token` objects consumed by the
 recursive-descent parser in :mod:`repro.sparql.parser`.  It understands the
 lexical forms needed for both plain SPARQL and the SPARQL-ML surface syntax
-(prefixed names with dots such as ``sql:UDFS.getNodeClass``, ``$``-variables,
+(prefixed names with dots such as ``sql:UDFS.getNodeClass``, empty-prefix
+names such as ``:a`` and the bare ``:`` of ``PREFIX :``, ``$``-variables,
 JSON-ish braces inside ``TrainGML`` calls are handled at a higher level).
 """
 
@@ -67,7 +68,8 @@ _TOKEN_RE = re.compile(
               |[A-Za-z_][A-Za-z0-9_-]*:
               |:[A-Za-z0-9_](?:[A-Za-z0-9_\-%]
                              |/(?=[A-Za-z0-9_%\-/])(?!(?:[A-Za-z_][A-Za-z0-9_-]*)?:)
-                             |\.(?=[A-Za-z0-9_\-/%]))*)
+                             |\.(?=[A-Za-z0-9_\-/%]))*
+              |:)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=|>=|!=|&&|\|\||[=<>!+\-*/^|?])
   | (?P<punct>[{}()\[\].,;])

@@ -1,5 +1,8 @@
 """Unit tests for the numpy autograd engine, including numeric gradient checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -208,6 +211,23 @@ class TestGradients:
         numeric = numeric_gradient(
             lambda: ((p * 2) * (p * 2)).sum() + (p * 2).sum(), p)
         assert np.abs(p.grad - numeric).max() < 1e-5
+
+
+class TestGraphLifetime:
+    def test_backward_frees_the_graph_without_the_cycle_collector(self):
+        """After ``backward()`` the graph's tensors die by reference counting."""
+        gc.collect()
+        gc.disable()
+        try:
+            weights = Parameter(np.ones((4, 3)))
+            hidden = Tensor(np.arange(12.0).reshape(3, 4)) @ weights
+            alive = weakref.ref(hidden)
+            (hidden * hidden).sum().backward()
+            del hidden
+            assert alive() is None
+            assert weights.grad is not None
+        finally:
+            gc.enable()
 
 
 class TestDropoutAndEmbedding:

@@ -276,3 +276,17 @@ class TestBatchedJoinsDifferential:
         assert reference.select(query) is not None
         assert (batched.history[-1].pattern_lookups
                 < reference.history[-1].pattern_lookups)
+
+
+class TestEmptyPrefix:
+    def test_empty_prefix_query_end_to_end(self):
+        graph = Graph()
+        graph.add(IRI("http://e/a"), IRI("http://e/p"), IRI("http://e/b"))
+        graph.add(IRI("http://e/a"), IRI("http://e/p"), Literal(1))
+        graph.add(IRI("http://e/c"), IRI("http://e/p"), IRI("http://e/d"))
+        endpoint = SPARQLEndpoint()
+        endpoint.load(graph)
+        result = endpoint.select("PREFIX : <http://e/> SELECT ?o WHERE { :a :p ?o }")
+        assert {row.get_value("o") for row in result} == {IRI("http://e/b"), Literal(1)}
+        asked = endpoint.ask("PREFIX : <http://e/> ASK { :c :p :d }")
+        assert asked is True

@@ -4,9 +4,10 @@ import pytest
 
 from repro.exceptions import QueryError, UDFError
 from repro.rdf import DBLP, Graph, IRI, Literal, Variable
-from repro.sparql import SPARQLEndpoint, Solution, UDFRegistry
+from repro.sparql import ReferenceQueryEvaluator, SPARQLEndpoint, Solution, UDFRegistry
 from repro.sparql.functions import (
     OpaqueValue,
+    compile_expression,
     effective_boolean_value,
     evaluate_expression,
     term_to_number,
@@ -237,3 +238,161 @@ class TestAggregates:
         result = numbers_endpoint.select(PREFIXES + """
             SELECT (COUNT(?p) AS ?n) WHERE { ?p dblp:missing ?x . }""")
         assert result[0].get_value("n").to_python() == 0
+
+
+def _both(text: str, bindings=None):
+    """``text`` evaluated by the interpreter and by the compiled closure."""
+    expr = _expr(text)
+    solution = Solution(bindings or {})
+    interpreted = evaluate_expression(expr, solution, EvaluationContext())
+    compiled = compile_expression(expr, EvaluationContext())(solution)
+    assert compiled == interpreted
+    return interpreted
+
+
+class TestSubstr:
+    """SUBSTR per SPARQL 1.1 §17.4.3.3 (XPath fn:substring positions)."""
+
+    @pytest.mark.parametrize("call,expected", [
+        ('SUBSTR("foobar", 4)', Literal("bar")),
+        ('SUBSTR("foobar", 4, 1)', Literal("b")),
+        ('SUBSTR("foobar", 1)', Literal("foobar")),
+        ('SUBSTR("foobar", 7)', Literal("")),
+        ('SUBSTR("foobar", 0, 3)', Literal("fo")),
+        ('SUBSTR("foobar", -1, 3)', Literal("f")),
+        ('SUBSTR("12345", 1.5, 2.6)', Literal("234")),
+        ('SUBSTR("foobar", 2, 0)', Literal("")),
+        ('SUBSTR("foobar", 3, -1)', Literal("")),
+        ('SUBSTR("foo"@en, 1, 1)', Literal("f", language="en")),
+        ('SUBSTR("motor car"@en-GB, 6)', Literal(" car", language="en-gb")),
+    ])
+    def test_positions_and_language(self, call, expected):
+        result = _both(call)
+        assert result == expected
+        assert result.language == expected.language
+
+    def test_non_string_source_is_an_error(self):
+        with pytest.raises(QueryError):
+            _eval("SUBSTR(12345, 1)")
+        with pytest.raises(QueryError):
+            _eval("SUBSTR(?x, 1)", {Variable("x"): DBLP["a"]})
+
+    def test_in_a_query(self, numbers_endpoint):
+        result = numbers_endpoint.select(PREFIXES + """
+            SELECT (SUBSTR(?t, 1, 5) AS ?head) WHERE { ?p dblp:title ?t . }""")
+        assert {row.get_value("head") for row in result} == {Literal("Paper")}
+
+
+class TestLangMatches:
+    """langMatches per SPARQL 1.1 §17.4.3.8 (RFC 4647 basic filtering)."""
+
+    @pytest.mark.parametrize("tag,language_range,expected", [
+        ("en", "en", True),
+        ("en-US", "en", True),
+        ("EN-us", "en-US", True),
+        ("en", "EN", True),
+        ("en", "en-US", False),
+        ("english", "en", False),
+        ("fr", "en", False),
+        ("en", "*", True),
+        ("fr-CA", "*", True),
+        ("", "*", False),
+        ("", "en", False),
+    ])
+    def test_ranges(self, tag, language_range, expected):
+        assert _both(f'LANGMATCHES("{tag}", "{language_range}")') == \
+            (TRUE if expected else FALSE)
+
+    def test_with_lang_of_a_literal(self):
+        bindings = {Variable("x"): Literal("chat", language="fr-BE")}
+        assert _both('langMatches(lang(?x), "FR")', bindings) == TRUE
+        assert _both('langMatches(lang(?x), "fr-be")', bindings) == TRUE
+        assert _both('langMatches(lang(?x), "de")', bindings) == FALSE
+
+    def test_filter_in_a_query(self):
+        graph = Graph()
+        for index, language in enumerate(["en", "en-GB", "fr", None]):
+            graph.add(DBLP[f"p{index}"], DBLP["title"],
+                      Literal(f"t{index}", language=language))
+        endpoint = SPARQLEndpoint()
+        endpoint.load(graph)
+        english = endpoint.select(PREFIXES + """
+            SELECT ?t WHERE { ?p dblp:title ?t FILTER(langMatches(lang(?t), "en")) }""")
+        assert sorted(row.get_value("t").lexical for row in english) == ["t0", "t1"]
+        tagged = endpoint.select(PREFIXES + """
+            SELECT ?t WHERE { ?p dblp:title ?t FILTER(langMatches(lang(?t), "*")) }""")
+        assert sorted(row.get_value("t").lexical for row in tagged) == ["t0", "t1", "t2"]
+
+
+HAVING_DATA = [("s1", 1), ("s1", 2), ("s2", 3), ("s3", 4), ("s3", 5), ("s3", 6)]
+
+
+@pytest.fixture()
+def having_graph():
+    """?s e:p ?o with s1 -> 2 values, s2 -> 1 value, s3 -> 3 values."""
+    graph = Graph()
+    for subject, value in HAVING_DATA:
+        graph.add(IRI("http://e/" + subject), IRI("http://e/p"), Literal(value))
+    return graph
+
+
+def _having_rows(graph, text):
+    """Rows of ``text`` from the engine and from the reference evaluator."""
+    endpoint = SPARQLEndpoint()
+    endpoint.load(graph)
+    query = SPARQLParser(text).parse_query()
+    reference = ReferenceQueryEvaluator(graph).evaluate(query)
+    out = []
+    for result in (endpoint.select(text), reference):
+        out.append(sorted(tuple(str(row.get(v)) for v in result.variables)
+                          for row in result))
+    return out
+
+
+class TestHaving:
+    """HAVING filters groups after grouping, in both evaluators."""
+
+    @pytest.mark.parametrize("modifier,expected", [
+        # The group with one value is dropped.
+        ("GROUP BY ?s HAVING (COUNT(?o) > 1)",
+         [("http://e/s1", "2"), ("http://e/s3", "3")]),
+        # Several constraints must all hold.
+        ("GROUP BY ?s HAVING (COUNT(?o) > 1) (COUNT(?o) < 3)",
+         [("http://e/s1", "2")]),
+        # An aggregate that the SELECT does not project.
+        ("GROUP BY ?s HAVING (SUM(?o) >= 3 && MIN(?o) != 4)",
+         [("http://e/s1", "2"), ("http://e/s2", "1")]),
+        # A group key.
+        ("GROUP BY ?s HAVING (?s = <http://e/s2>)", [("http://e/s2", "1")]),
+        # No group passes.
+        ("GROUP BY ?s HAVING (COUNT(?o) > 3)", []),
+    ])
+    def test_group_by_having(self, having_graph, modifier, expected):
+        text = ("SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s <http://e/p> ?o } "
+                + modifier)
+        for rows in _having_rows(having_graph, text):
+            assert rows == expected
+
+    def test_with_prefixed_names(self, having_graph):
+        text = ("PREFIX e: <http://e/> SELECT ?s (COUNT(?o) AS ?n) "
+                "WHERE { ?s e:p ?o } GROUP BY ?s HAVING (COUNT(?o) > 1)")
+        for rows in _having_rows(having_graph, text):
+            assert rows == [("http://e/s1", "2"), ("http://e/s3", "3")]
+
+    @pytest.mark.parametrize("bound,expected", [
+        (5, [("6",)]),     # the one implicit group passes
+        (6, []),           # it is filtered out: no row at all
+    ])
+    def test_having_without_group_by(self, having_graph, bound, expected):
+        text = ("SELECT (COUNT(*) AS ?n) WHERE { ?s <http://e/p> ?o } "
+                f"HAVING (COUNT(*) > {bound})")
+        for rows in _having_rows(having_graph, text):
+            assert rows == expected
+
+    def test_having_inside_a_subselect_under_optional(self, having_graph):
+        # The sub-select re-runs per outer row; its HAVING still applies.
+        text = ("SELECT ?x ?s WHERE { VALUES ?x { 1 2 } OPTIONAL { { "
+                "SELECT ?s WHERE { ?s <http://e/p> ?o } GROUP BY ?s "
+                "HAVING (COUNT(?o) = 3) } } }")
+        for rows in _having_rows(having_graph, text):
+            assert rows == [("1", "http://e/s3"), ("2", "http://e/s3")]

@@ -233,3 +233,21 @@ class TestParseDispatch:
     def test_parse_returns_updates_for_insert(self):
         result = parse(PREFIXES + "INSERT DATA { dblp:a dblp:p dblp:b . }")
         assert isinstance(result, list)
+
+
+class TestEmptyPrefix:
+    def test_declared_and_used(self):
+        query = parse_query("PREFIX : <http://e/> SELECT ?o WHERE { :a :p ?o }")
+        assert query.prefixes[""] == "http://e/"
+        pattern = query.where.elements[0].triples[0]
+        assert pattern.subject == IRI("http://e/a")
+        assert pattern.predicate == IRI("http://e/p")
+        assert pattern.object == Variable("o")
+
+    def test_beside_named_prefixes_and_in_expressions(self):
+        query = parse_query(PREFIXES + "PREFIX : <http://e/>\n"
+                            "SELECT ?s WHERE { ?s dblp:title ?t . ?s :p :o "
+                            "FILTER(?s != :x) }")
+        bgp = query.where.elements[0]
+        assert bgp.triples[1].object == IRI("http://e/o")
+        assert query.prefixes[""] == "http://e/"

@@ -76,3 +76,12 @@ class TestTokenizer:
 
     def test_empty_input(self):
         assert kinds("") == []
+
+    def test_empty_prefix_declaration(self):
+        assert kinds("PREFIX : <http://e/>") == ["KEYWORD", "QNAME", "IRI"]
+        assert values("PREFIX : <http://e/>")[1] == ":"
+
+    def test_empty_prefix_names(self):
+        assert kinds(":a :p ?o") == ["QNAME", "QNAME", "VAR"]
+        assert values(":a :p.x :b") == [":a", ":p.x", ":b"]
+        assert values("{ :a :p :b . }")[-2:] == [".", "}"]
